@@ -92,6 +92,11 @@ pub struct HighwayManager {
     wake: Sender<()>,
     stop: Arc<AtomicBool>,
     worker: Mutex<Option<JoinHandle<()>>>,
+    /// Reconciliation passes completed so far, bumped after every pass
+    /// (productive or not) and announced on `progressed`, so convergence
+    /// waits wake on the worker's progress instead of a timer.
+    passes: std::sync::Mutex<u64>,
+    progressed: std::sync::Condvar,
 }
 
 impl HighwayManager {
@@ -115,6 +120,8 @@ impl HighwayManager {
             wake: wake_tx,
             stop: Arc::new(AtomicBool::new(false)),
             worker: Mutex::new(None),
+            passes: std::sync::Mutex::new(0),
+            progressed: std::sync::Condvar::new(),
         });
         let worker = {
             let manager = Arc::clone(&manager);
@@ -207,15 +214,35 @@ impl HighwayManager {
     /// Blocks until the actual link set matches the desired one (or the
     /// timeout passes). Test/experiment helper.
     pub fn wait_converged(&self, timeout: Duration) -> bool {
+        self.wait_until(timeout, || self.is_converged())
+    }
+
+    /// Blocks until `ready` holds (or the timeout passes), re-checking it
+    /// after every reconciliation pass and at least once per millisecond
+    /// (for conditions the worker does not drive).
+    pub(crate) fn wait_until(&self, timeout: Duration, ready: impl Fn() -> bool) -> bool {
         let deadline = Instant::now() + timeout;
+        let mut seen = *self.passes.lock().unwrap_or_else(|e| e.into_inner());
         loop {
-            if self.is_converged() {
+            if ready() {
                 return true;
             }
-            if Instant::now() > deadline {
+            let now = Instant::now();
+            if now > deadline {
                 return false;
             }
-            std::thread::sleep(Duration::from_millis(1));
+            // A pass that finished since `seen` was read skips the wait,
+            // so no notification between the check and here is lost.
+            let mut passes = self.passes.lock().unwrap_or_else(|e| e.into_inner());
+            if *passes == seen {
+                let bound = Duration::from_millis(1).min(deadline - now);
+                passes = self
+                    .progressed
+                    .wait_timeout(passes, bound)
+                    .unwrap_or_else(|e| e.into_inner())
+                    .0;
+            }
+            seen = *passes;
         }
     }
 
@@ -397,7 +424,10 @@ impl HighwayManager {
 
     fn worker_loop(&self, wake: Receiver<()>) {
         while !self.stop.load(Ordering::Acquire) {
-            if !self.reconcile_step() {
+            let worked = self.reconcile_step();
+            *self.passes.lock().unwrap_or_else(|e| e.into_inner()) += 1;
+            self.progressed.notify_all();
+            if !worked {
                 // Converged (or debouncing): sleep until the observer wakes
                 // us, or re-check shortly for debounce expiry.
                 let _ = wake.recv_timeout(Duration::from_millis(5));

@@ -204,16 +204,9 @@ impl HighwayNode {
         let Some(manager) = &self.manager else {
             return true;
         };
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            if self.switch.control_idle() && manager.is_converged() {
-                return true;
-            }
-            if std::time::Instant::now() > deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        manager.wait_until(timeout, || {
+            self.switch.control_idle() && manager.is_converged()
+        })
     }
 
     /// The bypass setup log (empty on a vanilla node).

@@ -16,7 +16,7 @@
 //! owns its own), and optional replication to a standby peer via
 //! [`crate::failover::ActivePeer`].
 
-use crate::connection::{Connection, ConnectionState, SwitchFeatures};
+use crate::connection::{Connection, ConnectionState, SwitchFeatures, POLL_BOUND};
 use crate::failover::ActivePeer;
 use crate::messages::{FlowMod, OfpMessage, PacketIn};
 use crate::types::PortNo;
@@ -283,6 +283,9 @@ impl<A: FabricApp> FabricRuntime<A> {
     /// and been announced to the app. Fails if any switch disconnects
     /// first or `timeout` passes.
     pub fn run_until_ready(&mut self, timeout: Duration) -> Result<()> {
+        for session in &self.switches {
+            session.conn.wake_me_on_rx();
+        }
         let deadline = Instant::now() + timeout;
         loop {
             self.poll();
@@ -296,10 +299,11 @@ impl<A: FabricApp> FabricRuntime<A> {
             {
                 return Err(OfError::Disconnected);
             }
-            if Instant::now() >= deadline {
+            let now = Instant::now();
+            if now >= deadline {
                 return Err(OfError::Disconnected);
             }
-            std::thread::sleep(Duration::from_micros(500));
+            std::thread::park_timeout(POLL_BOUND.min(deadline - now));
         }
     }
 

@@ -35,6 +35,11 @@ use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Longest a blocked wait parks between polls of its connection. A
+/// loopback transport unparks the waiter as soon as the switch writes;
+/// over TCP, which cannot notify, this is the poll period.
+pub(crate) const POLL_BOUND: Duration = Duration::from_micros(500);
+
 /// Observes replay-log transitions on a [`Connection`] — the hook the
 /// active/standby replication in [`crate::failover`] attaches so a peer
 /// controller mirrors the un-barriered flow mods in real time.
@@ -193,8 +198,20 @@ impl Connection {
         *self.observer.lock() = Some(observer);
     }
 
+    /// Registers the calling thread to be unparked when the switch's
+    /// bytes arrive, so a wait on this connection can `park_timeout`
+    /// instead of sleeping (transports that cannot notify leave the
+    /// timeout as the only wake-up).
+    pub(crate) fn wake_me_on_rx(&self) {
+        self.io
+            .lock()
+            .transport
+            .set_rx_waker(std::thread::current());
+    }
+
     /// Drives the handshake until [`ConnectionState::Ready`] or `timeout`.
     pub fn handshake(&self, timeout: Duration) -> Result<SwitchFeatures> {
+        self.wake_me_on_rx();
         let deadline = Instant::now() + timeout;
         loop {
             self.pump()?;
@@ -207,10 +224,11 @@ impl Connection {
                     return Err(io.fatal.clone().unwrap_or(OfError::Disconnected));
                 }
             }
-            if Instant::now() >= deadline {
+            let now = Instant::now();
+            if now >= deadline {
                 return Err(OfError::Disconnected);
             }
-            std::thread::sleep(Duration::from_micros(500));
+            std::thread::park_timeout(POLL_BOUND.min(deadline - now));
         }
     }
 
@@ -447,6 +465,7 @@ impl Connection {
     /// the caller.
     pub fn wait_reply(&self, xid: u32, timeout: Duration) -> Result<OfpMessage> {
         let _guard = WaiterGuard::enter(&self.waiters);
+        self.wake_me_on_rx();
         let deadline = Instant::now() + timeout;
         loop {
             let pump_err = self.pump().err();
@@ -459,10 +478,11 @@ impl Connection {
             if let Some(e) = pump_err {
                 return Err(e);
             }
-            if Instant::now() >= deadline {
+            let now = Instant::now();
+            if now >= deadline {
                 return Err(OfError::Disconnected);
             }
-            std::thread::sleep(Duration::from_micros(500));
+            std::thread::park_timeout(POLL_BOUND.min(deadline - now));
         }
     }
 

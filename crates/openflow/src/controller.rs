@@ -49,6 +49,12 @@ impl SwitchLink {
         io.transport.pending_bytes() + io.framer.buffered()
     }
 
+    /// Registers `reader` to be unparked when controller bytes arrive
+    /// (see [`Transport::set_rx_waker`]).
+    pub fn set_rx_waker(&self, reader: std::thread::Thread) {
+        self.inner.lock().transport.set_rx_waker(reader);
+    }
+
     /// Next message from the controller, if any.
     ///
     /// Decoding errors of a *complete* frame are recoverable (the caller

@@ -42,6 +42,15 @@ pub trait Transport: Send {
     fn pending_bytes(&self) -> usize {
         0
     }
+
+    /// Registers `reader` as the thread that reads this end, so the
+    /// transport can `unpark` it when the peer delivers bytes. A reader
+    /// that parks after registering (with a timeout) then wakes on input
+    /// instead of on its timer. Transports that cannot notify keep this
+    /// default no-op, and their readers fall back to the park timeout.
+    fn set_rx_waker(&self, reader: std::thread::Thread) {
+        let _ = reader;
+    }
 }
 
 /// A shared transport handle is itself a transport — lets a test keep a
@@ -59,12 +68,19 @@ impl<T: Transport + ?Sized + Sync> Transport for std::sync::Arc<T> {
     fn pending_bytes(&self) -> usize {
         (**self).pending_bytes()
     }
+
+    fn set_rx_waker(&self, reader: std::thread::Thread) {
+        (**self).set_rx_waker(reader)
+    }
 }
 
 /// One direction of an in-process byte pipe.
 struct Pipe {
     buf: parking_lot::Mutex<VecDeque<u8>>,
     closed: AtomicBool,
+    /// The thread reading this direction, unparked after every write and
+    /// on close (see [`Transport::set_rx_waker`]).
+    reader: parking_lot::Mutex<Option<std::thread::Thread>>,
 }
 
 impl Pipe {
@@ -72,6 +88,7 @@ impl Pipe {
         Arc::new(Pipe {
             buf: parking_lot::Mutex::new(VecDeque::new()),
             closed: AtomicBool::new(false),
+            reader: parking_lot::Mutex::new(None),
         })
     }
 
@@ -80,7 +97,14 @@ impl Pipe {
             return Err(OfError::Disconnected);
         }
         self.buf.lock().extend(data);
+        self.wake_reader();
         Ok(data.len())
+    }
+
+    fn wake_reader(&self) {
+        if let Some(reader) = self.reader.lock().as_ref() {
+            reader.unpark();
+        }
     }
 
     fn read(&self, out: &mut [u8]) -> Result<usize> {
@@ -105,6 +129,7 @@ impl Pipe {
 
     fn close(&self) {
         self.closed.store(true, Ordering::Release);
+        self.wake_reader();
     }
 }
 
@@ -147,6 +172,10 @@ impl Transport for LoopbackEnd {
 
     fn pending_bytes(&self) -> usize {
         self.rx.len()
+    }
+
+    fn set_rx_waker(&self, reader: std::thread::Thread) {
+        *self.rx.reader.lock() = Some(reader);
     }
 }
 
@@ -272,6 +301,10 @@ impl Transport for FaultEnd {
     fn pending_bytes(&self) -> usize {
         self.inner.pending_bytes()
     }
+
+    fn set_rx_waker(&self, reader: std::thread::Thread) {
+        self.inner.set_rx_waker(reader)
+    }
 }
 
 /// Serves a canned byte stream as reads and captures every write —
@@ -335,6 +368,7 @@ impl Transport for ScriptedTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn loopback_moves_bytes_both_ways() {
@@ -395,6 +429,87 @@ mod tests {
         let mut buf = [0u8; 4];
         assert_eq!(b.recv(&mut buf).unwrap(), 4);
         assert_eq!(buf, [0x10, 0x11, 0x13, 0x13]);
+    }
+
+    /// Upper bound of every park below: a reader that is not woken by
+    /// the write waits this long, far past the asserted latency.
+    const PARK_BOUND: Duration = Duration::from_secs(10);
+    const PROMPT: Duration = Duration::from_millis(500);
+
+    /// Parks (bounded, re-parking on spurious wakes) until `end` has
+    /// bytes to read; returns how long that took.
+    fn park_until_readable(end: &dyn Transport) -> Duration {
+        let start = Instant::now();
+        let mut buf = [0u8; 8];
+        while end.recv(&mut buf).unwrap() == 0 {
+            let waited = start.elapsed();
+            assert!(waited < PARK_BOUND, "reader was never woken");
+            std::thread::park_timeout(PARK_BOUND - waited);
+        }
+        start.elapsed()
+    }
+
+    /// Registers the test thread on `reader`, parks first, and has another
+    /// thread write to `writer` only once the reader is (most likely)
+    /// parked: the write, not the timeout, must end the park.
+    fn assert_park_then_write_wakes<T: Transport + 'static>(reader: &dyn Transport, writer: T) {
+        reader.set_rx_waker(std::thread::current());
+        let peer = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            writer.send(b"wake").unwrap();
+            writer
+        });
+        let waited = park_until_readable(reader);
+        let _writer = peer.join().unwrap();
+        assert!(waited < PROMPT, "park outlived the write: {waited:?}");
+    }
+
+    #[test]
+    fn loopback_write_before_park_wakes_reader() {
+        let (a, b) = loopback();
+        b.set_rx_waker(std::thread::current());
+        let a = std::thread::spawn(move || {
+            a.send(b"early").unwrap();
+            a
+        })
+        .join()
+        .unwrap();
+        // The write already happened: the unpark token it left makes the
+        // park return at once instead of after the bound.
+        let start = Instant::now();
+        std::thread::park_timeout(PARK_BOUND);
+        assert!(start.elapsed() < PROMPT);
+        let mut buf = [0u8; 8];
+        assert_eq!(b.recv(&mut buf).unwrap(), 5);
+        drop(a);
+    }
+
+    #[test]
+    fn loopback_park_before_write_wakes_reader() {
+        let (a, b) = loopback();
+        assert_park_then_write_wakes(&b, a);
+    }
+
+    #[test]
+    fn shared_and_faulty_ends_forward_the_waker() {
+        let (a, b) = loopback();
+        let b = Arc::new(b);
+        assert_park_then_write_wakes(&b, a);
+
+        let (a, b, _ctl) = faulty_pair(FaultConfig::default());
+        assert_park_then_write_wakes(&b, a);
+    }
+
+    #[test]
+    fn loopback_close_wakes_reader() {
+        let (a, b) = loopback();
+        b.set_rx_waker(std::thread::current());
+        std::thread::spawn(move || drop(a)).join().unwrap();
+        let start = Instant::now();
+        std::thread::park_timeout(PARK_BOUND);
+        assert!(start.elapsed() < PROMPT);
+        let mut buf = [0u8; 8];
+        assert!(matches!(b.recv(&mut buf), Err(OfError::Disconnected)));
     }
 
     #[test]

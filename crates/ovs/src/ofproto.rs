@@ -124,9 +124,31 @@ impl Ofproto {
                 .load(std::sync::atomic::Ordering::Acquire)
     }
 
-    /// Attaches (or replaces) the controller link.
+    /// Attaches (or replaces) the controller link. The control thread
+    /// (see [`Ofproto::set_control_thread`]) is registered as the link's
+    /// reader and unparked, so bytes the controller wrote before the
+    /// attach are served at once.
     pub fn attach_controller(&self, link: SwitchLink) {
-        *self.link.lock() = Some(link);
+        let mut guard = self.link.lock();
+        if let Some(thread) = self.dp.control_thread() {
+            link.set_rx_waker(thread.clone());
+            // Its next poll blocks on this lock, so it sees the new link.
+            thread.unpark();
+        }
+        *guard = Some(link);
+    }
+
+    /// Makes `thread` the one that runs [`Ofproto::poll`]: it is unparked
+    /// when controller bytes arrive on the current link or any link
+    /// attached later, and when the datapath queues a packet-in.
+    pub fn set_control_thread(&self, thread: std::thread::Thread) {
+        // Under the link lock, so a concurrent attach either sees the
+        // thread or has its link registered here.
+        let guard = self.link.lock();
+        if let Some(link) = guard.as_ref() {
+            link.set_rx_waker(thread.clone());
+        }
+        self.dp.set_control_thread(thread);
     }
 
     /// Registers a flow-table observer.

@@ -215,6 +215,9 @@ pub struct Datapath {
     packet_in_rx: Receiver<PacketIn>,
     /// Packet-ins dropped because the controller queue was full.
     pub packet_in_drops: AtomicU64,
+    /// The control thread that forwards packet-ins (`ovs-main`), unparked
+    /// on every punt so it does not wait out its housekeeping interval.
+    control_thread: Mutex<Option<std::thread::Thread>>,
     /// Cache handles registered by running PMD threads, so operator paths
     /// (`dump_megaflows`) can observe the per-PMD caches.
     pmd_caches: RwLock<Vec<Arc<Mutex<PmdCaches>>>>,
@@ -253,6 +256,7 @@ impl Datapath {
             packet_in_tx: tx,
             packet_in_rx: rx,
             packet_in_drops: AtomicU64::new(0),
+            control_thread: Mutex::new(None),
             pmd_caches: RwLock::new(Vec::new()),
             telemetry_enabled: AtomicBool::new(true),
             trace: TraceRing::default(),
@@ -429,6 +433,17 @@ impl Datapath {
         out
     }
 
+    /// Registers the thread that drains [`Datapath::drain_packet_ins`];
+    /// every later punt unparks it.
+    pub(crate) fn set_control_thread(&self, thread: std::thread::Thread) {
+        *self.control_thread.lock() = Some(thread);
+    }
+
+    /// The thread registered by [`Datapath::set_control_thread`], if any.
+    pub(crate) fn control_thread(&self) -> Option<std::thread::Thread> {
+        self.control_thread.lock().clone()
+    }
+
     fn punt(&self, pkt: &Mbuf, in_port: PortNo, reason: PacketInReason) {
         let pi = PacketIn {
             in_port,
@@ -436,7 +451,11 @@ impl Datapath {
             data: pkt.to_vec(),
         };
         match self.packet_in_tx.try_send(pi) {
-            Ok(()) => {}
+            Ok(()) => {
+                if let Some(control) = self.control_thread.lock().as_ref() {
+                    control.unpark();
+                }
+            }
             Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
                 self.packet_in_drops.fetch_add(1, Ordering::Relaxed);
             }
@@ -1134,6 +1153,7 @@ mod tests {
     use openflow::{Action, FlowMatch};
     use packet_wire::PacketBuilder;
     use shmem_sim::channel;
+    use std::time::Duration;
 
     fn probe() -> Mbuf {
         Mbuf::from_slice(&PacketBuilder::udp_probe(64).build())
@@ -1149,6 +1169,36 @@ mod tests {
         dp.add_port(OvsPort::dpdkr(PortNo(1), "dpdkr1", sw1));
         dp.add_port(OvsPort::dpdkr(PortNo(2), "dpdkr2", sw2));
         (dp, vm1, vm2)
+    }
+
+    /// Sends `n` packets built by `make(i)` (tagged `udata = i`) into
+    /// `vm1` and counts those reaching `vm2` before `timeout`. `vm2` is
+    /// drained while sending and at most 32 packets are in flight, so its
+    /// 64-slot ring cannot overflow however this thread is scheduled
+    /// against the PMD threads.
+    fn send_windowed(
+        vm1: &mut shmem_sim::ChannelEnd,
+        vm2: &mut shmem_sim::ChannelEnd,
+        n: u64,
+        timeout: Duration,
+        make: impl Fn(u64) -> Mbuf,
+    ) -> u64 {
+        let (mut sent, mut got) = (0, 0);
+        let deadline = std::time::Instant::now() + timeout;
+        while got < n && std::time::Instant::now() < deadline {
+            if sent < n && sent - got < 32 {
+                let mut m = make(sent);
+                m.udata = sent;
+                if vm1.send(m).is_ok() {
+                    sent += 1;
+                }
+            }
+            match vm2.recv() {
+                Some(_) => got += 1,
+                None => std::thread::yield_now(),
+            }
+        }
+        got
     }
 
     fn pump(dp: &Arc<Datapath>) {
@@ -1240,27 +1290,12 @@ mod tests {
         let pmd = PmdThread::new(Arc::clone(&dp), Arc::clone(&stop));
         let handle = std::thread::spawn(move || pmd.run());
 
-        for i in 0..100u64 {
-            let mut m = probe();
-            m.udata = i;
-            while vm1.send(m).is_err() {
-                m = probe();
-                m.udata = i;
-                std::thread::yield_now();
-            }
-        }
-        let mut got = 0;
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while got < 100 && std::time::Instant::now() < deadline {
-            if vm2.recv().is_some() {
-                got += 1;
-            } else {
-                std::thread::yield_now();
-            }
-        }
+        let n = 100;
+        let got = send_windowed(&mut vm1, &mut vm2, n, Duration::from_secs(5), |_| probe());
         stop.store(true, Ordering::Release);
         handle.join().unwrap();
-        assert_eq!(got, 100);
+        assert_eq!(got, n);
+        assert_eq!(got + dp.port(PortNo(2)).unwrap().stats().odropped, n);
     }
 
     /// One synchronous burst-batched PMD iteration with the given caches.
@@ -1532,34 +1567,24 @@ mod tests {
             handles.push(std::thread::spawn(move || pmd.run()));
         }
 
-        let n = 96u16;
-        for i in 0..n {
-            // Distinct 5-tuples so the RSS hash spreads flows across PMDs.
-            let mut m = Mbuf::from_slice(&PacketBuilder::udp_probe(64).ports(1000 + i, 80).build());
-            m.udata = u64::from(i);
-            while vm1.send(m).is_err() {
-                m = Mbuf::from_slice(&PacketBuilder::udp_probe(64).ports(1000 + i, 80).build());
-                m.udata = u64::from(i);
-                std::thread::yield_now();
-            }
-        }
-        let mut got = 0;
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while got < usize::from(n) && std::time::Instant::now() < deadline {
-            if vm2.recv().is_some() {
-                got += 1;
-            } else {
-                std::thread::yield_now();
-            }
-        }
+        // Distinct 5-tuples so the RSS hash spreads flows across PMDs.
+        let n = 96;
+        let got = send_windowed(&mut vm1, &mut vm2, n, Duration::from_secs(10), |i| {
+            Mbuf::from_slice(
+                &PacketBuilder::udp_probe(64)
+                    .ports(1000 + i as u16, 80)
+                    .build(),
+            )
+        });
         stop.store(true, Ordering::Release);
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(got, usize::from(n));
+        assert_eq!(got, n);
+        assert_eq!(got + dp.port(PortNo(2)).unwrap().stats().odropped, n);
         assert_eq!(dp.fanout_drops.load(Ordering::Relaxed), 0);
         let s = dp.cache_stats();
-        assert_eq!(s.lookups, u64::from(n));
-        assert_eq!(s.matched, u64::from(n));
+        assert_eq!(s.lookups, n);
+        assert_eq!(s.matched, n);
     }
 }

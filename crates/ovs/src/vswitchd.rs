@@ -20,7 +20,10 @@ pub struct VSwitchdConfig {
     pub datapath_id: u64,
     /// Punt table misses to the controller (OF 1.0 default) or drop them.
     pub miss_to_controller: bool,
-    /// Housekeeping period (timeout sweeps, control-message polling).
+    /// Longest the control thread waits between rounds. Controller bytes
+    /// on an in-process link, a new link, a packet-in and `stop` wake it
+    /// earlier; the interval still paces timeout sweeps and polling of
+    /// links that cannot notify (TCP).
     pub housekeeping_interval: Duration,
     /// PMD threads polling the ports. One (the default) mirrors a
     /// single-core OVS-DPDK deployment; the paper's testbed dedicates
@@ -273,6 +276,11 @@ impl VSwitchd {
             std::thread::Builder::new()
                 .name("ovs-main".into())
                 .spawn(move || {
+                    // Controller bytes, a newly attached link, a punted
+                    // packet and `stop` all unpark this thread; the
+                    // interval only bounds the wait for timeout sweeps and
+                    // for links that cannot notify (TCP).
+                    ofproto.set_control_thread(std::thread::current());
                     let mut last_sweep = std::time::Instant::now();
                     while !stop.load(Ordering::Acquire) {
                         let handled = ofproto.poll();
@@ -281,7 +289,7 @@ impl VSwitchd {
                             last_sweep = std::time::Instant::now();
                         }
                         if handled == 0 {
-                            std::thread::sleep(interval);
+                            std::thread::park_timeout(interval);
                         }
                     }
                 })
@@ -293,6 +301,8 @@ impl VSwitchd {
     pub fn stop(&self) {
         self.stop.store(true, Ordering::Release);
         for t in self.threads.lock().drain(..) {
+            // Cuts a parked control loop's wait short.
+            t.thread().unpark();
             let _ = t.join();
         }
         for t in self.listeners.lock().drain(..) {
@@ -490,6 +500,85 @@ mod tests {
         }
         assert_eq!(got, N, "4-PMD RSS datapath must be lossless");
         assert_eq!(sw.datapath().fanout_drops.load(Ordering::Relaxed), 0);
+        sw.stop();
+    }
+
+    /// A switch whose housekeeping interval is far longer than any
+    /// assertion below: every round trip must be ended by the control
+    /// loop waking on input, not by its timer.
+    fn slow_timer_switch(miss_to_controller: bool) -> VSwitchd {
+        VSwitchd::new(VSwitchdConfig {
+            miss_to_controller,
+            housekeeping_interval: SLOW_TIMER,
+            ..VSwitchdConfig::default()
+        })
+    }
+
+    const SLOW_TIMER: Duration = Duration::from_secs(5);
+    const PROMPT: Duration = Duration::from_millis(500);
+
+    /// Times a barrier round trip on a control loop that has gone idle.
+    fn idle_barrier_rtt(ctrl: &openflow::Connection) -> Duration {
+        ctrl.handshake(Duration::from_secs(10)).unwrap();
+        // Let the control loop finish the handshake and park.
+        std::thread::sleep(Duration::from_millis(50));
+        let t0 = std::time::Instant::now();
+        ctrl.barrier(Duration::from_secs(10)).unwrap();
+        t0.elapsed()
+    }
+
+    #[test]
+    fn idle_control_loop_wakes_on_controller_bytes() {
+        let sw = slow_timer_switch(false);
+        let (ctrl, link) = framed_link();
+        sw.attach_controller(link);
+        sw.start();
+        let rtt = idle_barrier_rtt(&ctrl);
+        assert!(rtt < PROMPT, "barrier waited out the timer: {rtt:?}");
+
+        // A link swapped in while the loop is parked is registered and
+        // served at once: handshake and barrier both finish promptly.
+        std::thread::sleep(Duration::from_millis(50));
+        let (ctrl2, link2) = framed_link();
+        let t0 = std::time::Instant::now();
+        sw.attach_controller(link2);
+        ctrl2.handshake(Duration::from_secs(10)).unwrap();
+        assert!(t0.elapsed() < PROMPT, "new link's handshake waited");
+        let rtt = idle_barrier_rtt(&ctrl2);
+        assert!(rtt < PROMPT, "barrier on the new link waited: {rtt:?}");
+
+        let t0 = std::time::Instant::now();
+        sw.stop();
+        assert!(t0.elapsed() < PROMPT, "stop waited out the timer");
+    }
+
+    #[test]
+    fn packet_in_wakes_idle_control_loop() {
+        let sw = slow_timer_switch(true);
+        let (sw1, mut vm1) = channel("dpdkr1", 8);
+        sw.add_dpdkr_port(PortNo(1), "dpdkr1", sw1);
+        let (ctrl, link) = framed_link();
+        sw.attach_controller(link);
+        sw.start();
+        idle_barrier_rtt(&ctrl);
+
+        std::thread::sleep(Duration::from_millis(50));
+        let t0 = std::time::Instant::now();
+        vm1.send(Mbuf::from_slice(&PacketBuilder::udp_probe(64).build()))
+            .unwrap();
+        let deadline = t0 + Duration::from_secs(10);
+        let got = loop {
+            match ctrl.try_recv() {
+                Some(Ok((openflow::OfpMessage::PacketIn(pi), _))) => break Some(pi),
+                Some(Ok(_)) => {}
+                Some(Err(e)) => panic!("control channel failed: {e:?}"),
+                None if std::time::Instant::now() > deadline => break None,
+                None => std::thread::yield_now(),
+            }
+        };
+        let pi = got.expect("table miss punted to the controller");
+        assert_eq!(pi.in_port, PortNo(1));
+        assert!(t0.elapsed() < PROMPT, "packet-in waited out the timer");
         sw.stop();
     }
 

@@ -229,14 +229,15 @@ fn rolling_reconfiguration_leaks_no_arena_slots() {
     install_middle_rule(&w, 0x9000);
     assert!(w.node.wait_highway_converged(Duration::from_secs(15)));
 
-    let mut seq = 0u64;
-    for round in 0..3u64 {
-        // Load: a burst of arena-backed probes racing the reconfiguration.
-        for _ in 0..50 {
+    const BURST: u64 = 50;
+    const ROUNDS: u64 = 3;
+    // Probe `seq`s of burst `i` are `i * BURST..(i + 1) * BURST`.
+    let send_burst = |entry: &mut ChannelEnd, i: u64| {
+        for seq in i * BURST..(i + 1) * BURST {
             let pkt = PacketBuilder::udp_probe(64).seq(seq).build();
             let mut m = Mbuf::from_arena(arena.alloc_from(&pkt).expect("arena sized for the test"));
             loop {
-                match w.entry.send(m) {
+                match entry.send(m) {
                     Ok(()) => break,
                     Err(ret) => {
                         m = ret;
@@ -244,8 +245,12 @@ fn rolling_reconfiguration_leaks_no_arena_slots() {
                     }
                 }
             }
-            seq += 1;
         }
+    };
+    for round in 0..ROUNDS {
+        // Load: a burst of arena-backed probes racing the reconfiguration.
+        // Loss across an unmap is allowed here; leaks are not.
+        send_burst(&mut w.entry, round);
         // Odd rounds: the teardown's first serial step fails mid-flight.
         if round % 2 == 1 {
             w.node.agent().faults().arm(FaultOp::Serial, 1);
@@ -256,18 +261,24 @@ fn rolling_reconfiguration_leaks_no_arena_slots() {
         assert!(w.node.wait_highway_converged(Duration::from_secs(15)));
     }
 
-    // Drain whatever made it through (loss across an unmap is allowed;
-    // leaks are not).
-    let quiet = Instant::now() + Duration::from_secs(3);
+    // The churn must leave a working chain: a burst sent after the final
+    // re-install races nothing, so every one of its probes arrives.
+    send_burst(&mut w.entry, ROUNDS);
+    let deadline = Instant::now() + Duration::from_secs(10);
     let mut delivered = 0u64;
-    while Instant::now() < quiet {
-        if w.exit.recv().is_some() {
-            delivered += 1;
-        } else {
-            std::thread::sleep(Duration::from_millis(5));
+    while delivered < BURST && Instant::now() < deadline {
+        match w.exit.recv() {
+            Some(m) => {
+                let got = ProbeHeader::from_frame(m.data()).unwrap().seq;
+                assert!(got < (ROUNDS + 1) * BURST, "unknown probe {got}");
+                if got >= ROUNDS * BURST {
+                    delivered += 1;
+                }
+            }
+            None => std::thread::yield_now(),
         }
     }
-    assert!(delivered > 0, "churn swallowed all traffic");
+    assert_eq!(delivered, BURST, "post-churn burst lost packets");
 
     // Census: stop the node, drop every ring, reclaim credits — all
     // slots home, no foreign frees.

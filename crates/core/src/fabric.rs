@@ -13,7 +13,7 @@
 //! joined by an ordinary intra-host seam (a highway-bypass candidate),
 //! and consecutive VMs on different nodes are joined through a fresh
 //! trunk. The resulting per-switch seam lists feed
-//! [`crate::apps::FabricChainSteering`], which installs them over the
+//! [`crate::apps::ChainSteering`], which installs them over the
 //! wire through one [`openflow::FabricRuntime`] — so the switches' p-2-p
 //! detectors see exactly what a real controller would send.
 
@@ -61,7 +61,7 @@ pub struct FabricChain {
     /// Trunks created for inter-host hops, chain order.
     pub trunks: Vec<Trunk>,
     /// Forward steering seams per datapath id — feed these to
-    /// [`crate::apps::FabricChainSteering`].
+    /// [`crate::apps::ChainSteering`].
     pub seams: HashMap<u64, Vec<Seam>>,
 }
 
@@ -191,7 +191,7 @@ impl Fabric {
     /// the last's, and every hop between nodes gets its own trunk.
     ///
     /// No rules are installed here — the returned per-switch seam lists
-    /// are meant for a [`crate::apps::FabricChainSteering`] app driving
+    /// are meant for a [`crate::apps::ChainSteering`] app driving
     /// the switches over the control channel, so the installs arrive the
     /// way a real controller's would (and the p-2-p detector fires on
     /// them). Seam cookies are globally unique (`0x100 + k`, hop order).
@@ -269,7 +269,7 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apps::FabricChainSteering;
+    use crate::apps::ChainSteering;
     use dpdk_sim::Mbuf;
     use openflow::FabricRuntime;
     use packet_wire::PacketBuilder;
@@ -299,7 +299,7 @@ mod tests {
         assert_eq!(chain.cookies(), vec![0x100, 0x101, 0x102, 0x103, 0x104]);
 
         // Drive both switches from one runtime over in-process links.
-        let mut rt = FabricRuntime::new(FabricChainSteering::new(chain.seams.clone()));
+        let mut rt = FabricRuntime::new(ChainSteering::new(chain.seams.clone()));
         rt.add_switch(fabric.node(0).connect_controller());
         rt.add_switch(fabric.node(1).connect_controller());
         rt.run_until_ready(Duration::from_secs(5)).unwrap();

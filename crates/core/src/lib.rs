@@ -41,7 +41,7 @@ pub mod node;
 pub mod policy;
 pub mod stats;
 
-pub use apps::{ChainSteering, FabricChainSteering, Seam};
+pub use apps::{ChainSteering, Seam};
 pub use detector::{detect_p2p_links, P2pLink};
 pub use events::{BypassEvent, BypassEventKind, EventJournal};
 pub use fabric::{Fabric, FabricChain, Trunk};

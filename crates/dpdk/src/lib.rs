@@ -2,7 +2,7 @@
 //!
 //! A faithful, process-local substitute for the slice of DPDK that the paper's
 //! system depends on: packet buffers ([`Mbuf`]) recycled through fixed-size
-//! pools ([`Mempool`]), lock-free rings with DPDK burst semantics
+//! shared [`Arena`] segments, lock-free rings with DPDK burst semantics
 //! ([`ring`]), a poll-mode device trait ([`EthDev`]) and a TSC-style cycle
 //! clock ([`cycles`]).
 //!
@@ -18,8 +18,8 @@
 //!   `crossbeam::queue::ArrayQueue`, a proven lock-free MPMC queue, rather
 //!   than re-deriving the rte_ring CAS protocol — same contract, lower risk.
 //! * Mbufs carry the few metadata fields the reproduction needs (input port,
-//!   a 64-bit user scratch word and a timestamp), and return their buffer to
-//!   the owning pool on drop, exactly like `rte_pktmbuf_free`.
+//!   a 64-bit user scratch word and a timestamp), and return their slot to
+//!   the owning arena on drop, exactly like `rte_pktmbuf_free`.
 //! * The shared-memory highway allocates from [`Arena`] segments whose
 //!   handles are **offset-based** ([`MbufDesc`]): valid in any process that
 //!   maps the segment, with refcounted multi-reader handoff and a
@@ -31,13 +31,11 @@ pub mod cycles;
 pub mod ethdev;
 pub mod events;
 pub mod mbuf;
-pub mod mempool;
 pub mod ring;
 
 pub use arena::{Arena, ArenaMbuf, ArenaStats, MbufDesc, WeakArena};
 pub use ethdev::{DevStats, EthDev, LoopbackDev};
 pub use mbuf::Mbuf;
-pub use mempool::{Mempool, MempoolStats, WeakMempool};
 pub use ring::{spsc_ring, MpmcRing, RingError, SpscConsumer, SpscProducer};
 
 /// Default mbuf data room, matching DPDK's `RTE_MBUF_DEFAULT_BUF_SIZE` minus

@@ -1,36 +1,30 @@
 //! Packet buffer handles with `rte_mbuf` semantics: headroom for header
-//! prepends, pool recycling on drop, and the metadata words the dataplane
+//! prepends, arena slot recycling on drop, and the metadata words the dataplane
 //! carries alongside packet bytes.
 
 use crate::arena::{ArenaMbuf, MbufDesc};
 use crate::events;
-use crate::mempool::MempoolInner;
-use std::sync::Arc;
 
-/// Headroom reserved at the front of every pooled buffer, like
+/// Headroom reserved at the front of every arena slot, like
 /// `RTE_PKTMBUF_HEADROOM`.
 pub const MBUF_HEADROOM: usize = 128;
 
 /// Tailroom reserved after the packet in detached mbufs, so consumers can
-/// append trailers the way `rte_pktmbuf_append` users expect. (Pooled mbufs
-/// get whatever their pool's buffer size leaves; real DPDK buffers are a
-/// fixed 2 KiB regardless of packet length, so spare tailroom is the norm.)
+/// append trailers the way `rte_pktmbuf_append` users expect. (Arena mbufs
+/// get whatever their slot size leaves; real DPDK buffers are a fixed 2 KiB
+/// regardless of packet length, so spare tailroom is the norm.)
 pub const MBUF_TAILROOM: usize = 128;
 
-/// Backing storage of an [`Mbuf`]: a process-private heap buffer
-/// (pooled or detached), or a slot in a shared [`crate::Arena`] segment.
+/// Backing storage of an [`Mbuf`]: a detached process-private heap
+/// buffer, or a slot in a shared [`crate::Arena`] segment.
 enum Storage {
-    Boxed {
-        buf: Option<Box<[u8]>>,
-        pool: Option<Arc<MempoolInner>>,
-    },
+    Boxed(Box<[u8]>),
     Arena(ArenaMbuf),
 }
 
 /// A packet buffer handle.
 ///
-/// Owns a byte buffer; when dropped, a pooled mbuf returns its buffer to
-/// the originating [`crate::Mempool`], an arena-backed mbuf releases its
+/// Owns a byte buffer; when dropped, an arena-backed mbuf releases its
 /// slot reference back to the [`crate::Arena`] (freelist or credit ring).
 /// Detached mbufs (created via [`Mbuf::from_vec`]) simply free their
 /// memory — convenient for tests.
@@ -48,31 +42,11 @@ pub struct Mbuf {
 }
 
 impl Mbuf {
-    pub(crate) fn from_pool(buf: Box<[u8]>, pool: Arc<MempoolInner>) -> Mbuf {
-        // Small pools (tests) cap the headroom at half the buffer so there
-        // is always usable data room.
-        let data_off = MBUF_HEADROOM.min(buf.len() / 2);
-        Mbuf {
-            storage: Storage::Boxed {
-                buf: Some(buf),
-                pool: Some(pool),
-            },
-            data_off,
-            data_len: 0,
-            port: 0,
-            udata: 0,
-            timestamp: 0,
-        }
-    }
-
-    /// Creates a detached (pool-less) mbuf owning `data`, with no headroom.
+    /// Creates a detached (arena-less) mbuf owning `data`, with no headroom.
     pub fn from_vec(data: Vec<u8>) -> Mbuf {
         let data_len = data.len();
         Mbuf {
-            storage: Storage::Boxed {
-                buf: Some(data.into_boxed_slice()),
-                pool: None,
-            },
+            storage: Storage::Boxed(data.into_boxed_slice()),
             data_off: 0,
             data_len,
             port: 0,
@@ -88,10 +62,7 @@ impl Mbuf {
         let mut buf = vec![0u8; MBUF_HEADROOM + data.len() + MBUF_TAILROOM];
         buf[MBUF_HEADROOM..MBUF_HEADROOM + data.len()].copy_from_slice(data);
         Mbuf {
-            storage: Storage::Boxed {
-                buf: Some(buf.into_boxed_slice()),
-                pool: None,
-            },
+            storage: Storage::Boxed(buf.into_boxed_slice()),
             data_off: MBUF_HEADROOM,
             data_len: data.len(),
             port: 0,
@@ -124,7 +95,7 @@ impl Mbuf {
     pub fn arena_segment_id(&self) -> Option<u64> {
         match &self.storage {
             Storage::Arena(am) => Some(am.segment_id()),
-            Storage::Boxed { .. } => None,
+            Storage::Boxed(_) => None,
         }
     }
 
@@ -135,10 +106,7 @@ impl Mbuf {
         if !self.is_arena() {
             return Err(self);
         }
-        let empty = Storage::Boxed {
-            buf: None,
-            pool: None,
-        };
+        let empty = Storage::Boxed(Box::default());
         let Storage::Arena(mut am) = std::mem::replace(&mut self.storage, empty) else {
             unreachable!("checked is_arena above")
         };
@@ -151,7 +119,7 @@ impl Mbuf {
 
     fn raw(&self) -> &[u8] {
         match &self.storage {
-            Storage::Boxed { buf, .. } => buf.as_deref().expect("mbuf buffer present until drop"),
+            Storage::Boxed(buf) => buf,
             Storage::Arena(am) => am.slot_bytes(),
         }
     }
@@ -167,10 +135,7 @@ impl Mbuf {
             if !am.is_unique() && !am.make_unique() {
                 let buf = am.slot_bytes().to_vec().into_boxed_slice();
                 events::emit("arena_cow_detach", 1);
-                self.storage = Storage::Boxed {
-                    buf: Some(buf),
-                    pool: None,
-                };
+                self.storage = Storage::Boxed(buf);
             }
         }
     }
@@ -178,9 +143,7 @@ impl Mbuf {
     fn raw_mut(&mut self) -> &mut [u8] {
         self.make_writable();
         match &mut self.storage {
-            Storage::Boxed { buf, .. } => {
-                buf.as_deref_mut().expect("mbuf buffer present until drop")
-            }
+            Storage::Boxed(buf) => buf,
             Storage::Arena(am) => am.slot_bytes_mut(),
         }
     }
@@ -280,7 +243,7 @@ impl Mbuf {
                 udata: 0,
                 timestamp: 0,
             },
-            Storage::Boxed { .. } => Mbuf::from_slice(self.data()),
+            Storage::Boxed(_) => Mbuf::from_slice(self.data()),
         };
         copy.port = self.port;
         copy.udata = self.udata;
@@ -289,22 +252,10 @@ impl Mbuf {
     }
 }
 
-impl Drop for Mbuf {
-    fn drop(&mut self) {
-        if let Storage::Boxed { buf, pool } = &mut self.storage {
-            if let (Some(buf), Some(pool)) = (buf.take(), pool.take()) {
-                pool.put_back(buf);
-            }
-        }
-        // Arena storage: ArenaMbuf's own Drop releases the slot reference.
-    }
-}
-
 impl std::fmt::Debug for Mbuf {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let backend = match &self.storage {
-            Storage::Boxed { pool: Some(_), .. } => "pooled",
-            Storage::Boxed { pool: None, .. } => "detached",
+            Storage::Boxed(_) => "detached",
             Storage::Arena(_) => "arena",
         };
         f.debug_struct("Mbuf")
@@ -319,19 +270,19 @@ impl std::fmt::Debug for Mbuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Mempool;
+    use crate::Arena;
 
     #[test]
-    fn pooled_mbuf_has_headroom_and_recycles() {
-        let pool = Mempool::new("t", 1, 2048);
-        let mut m = pool.alloc().unwrap();
+    fn arena_mbuf_has_headroom_and_recycles() {
+        let arena = Arena::new("t", 1, 2048);
+        let mut m = Mbuf::from_arena(arena.alloc().unwrap());
         assert_eq!(m.headroom(), MBUF_HEADROOM);
         assert_eq!(m.len(), 0);
         m.append(64).fill(0xAA);
         assert_eq!(m.len(), 64);
         assert_eq!(m.data()[0], 0xAA);
         drop(m);
-        assert_eq!(pool.available(), 1);
+        assert_eq!(arena.available(), 1);
     }
 
     #[test]
@@ -361,8 +312,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds tailroom")]
     fn append_beyond_tailroom_panics() {
-        let pool = Mempool::new("t", 1, 130);
-        let mut m = pool.alloc().unwrap();
+        let arena = Arena::new("t", 1, 130);
+        let mut m = Mbuf::from_arena(arena.alloc().unwrap());
         m.append(1024);
     }
 
@@ -376,17 +327,17 @@ mod tests {
     }
 
     #[test]
-    fn detached_mbuf_does_not_touch_any_pool() {
-        let pool = Mempool::new("t", 1, 64);
-        let before = pool.stats();
+    fn detached_mbuf_does_not_touch_any_arena() {
+        let arena = Arena::new("t", 1, 64);
+        let before = arena.stats();
         let m = Mbuf::from_slice(&[1, 2, 3]);
         drop(m);
-        assert_eq!(pool.stats(), before);
+        assert_eq!(arena.stats(), before);
     }
 
     #[test]
     fn arena_backed_duplicate_shares_the_slot() {
-        let arena = crate::Arena::new("t", 4, 512);
+        let arena = Arena::new("t", 4, 512);
         let m = Mbuf::from_arena(arena.alloc_from(&[1, 2, 3]).unwrap());
         let writes_after_ingress = arena.stats().slab_writes;
         let copy = m.duplicate();
@@ -404,7 +355,7 @@ mod tests {
 
     #[test]
     fn shared_arena_mbuf_copies_on_write() {
-        let arena = crate::Arena::new("t", 4, 512);
+        let arena = Arena::new("t", 4, 512);
         let mut m = Mbuf::from_arena(arena.alloc_from(&[7, 7, 7]).unwrap());
         let reader = m.duplicate();
         m.data_mut()[0] = 1;
@@ -417,7 +368,7 @@ mod tests {
 
     #[test]
     fn shared_arena_mbuf_detaches_when_arena_exhausted() {
-        let arena = crate::Arena::new("t", 1, 512);
+        let arena = Arena::new("t", 1, 512);
         let mut m = Mbuf::from_arena(arena.alloc_from(&[5, 5]).unwrap());
         let reader = m.duplicate();
         m.data_mut()[0] = 9; // no free slot for COW: detaches to heap
@@ -430,7 +381,7 @@ mod tests {
 
     #[test]
     fn desc_roundtrip_preserves_edits_and_metadata() {
-        let arena = crate::Arena::new("t", 2, 512);
+        let arena = Arena::new("t", 2, 512);
         let mut m = Mbuf::from_arena(arena.alloc_from(&[1, 2, 3, 4]).unwrap());
         m.adj(1); // trims head: layout must survive the descriptor hop
         m.port = 9;

@@ -1,20 +1,14 @@
 //! Controller applications over the framed channel.
 //!
-//! A [`ControllerApp`] is the logic half of a controller: it reacts to the
-//! switch connecting and to asynchronous messages, issuing requests through
-//! the [`Connection`] it is handed. [`ControllerRuntime`] is the event loop
-//! half — it drives the handshake, delivers messages and re-announces the
-//! switch after a reconnect. The split is what makes the channel API
-//! controller-agnostic: the built-in highway steering controller and the
-//! [`LearningSwitch`] ported from `rust_ofp` run over byte-identical
-//! streams through exactly this interface.
-//!
-//! [`FabricRuntime`] is the multi-switch generalisation: one event loop
-//! multiplexing N live connections with a per-switch datapath-id
-//! registry, fair round-robin polling (a chatty switch cannot starve the
-//! rest), per-switch barrier/replay state (each [`Connection`] already
-//! owns its own), and optional replication to a standby peer via
-//! [`crate::failover::ActivePeer`].
+//! A [`FabricApp`] is the logic half of a controller: it reacts to each
+//! switch connecting and to that switch's asynchronous messages, issuing
+//! requests through the [`Connection`] it is handed. [`FabricRuntime`] is
+//! the event loop half — it drives every handshake, delivers messages and
+//! re-announces a switch after a reconnect. A single switch is a fabric
+//! of one. The split is what makes the channel API controller-agnostic:
+//! the built-in highway steering controller and the [`LearningSwitch`]
+//! ported from `rust_ofp` run over byte-identical streams through exactly
+//! this interface.
 
 use crate::connection::{Connection, ConnectionState, SwitchFeatures, POLL_BOUND};
 use crate::failover::ActivePeer;
@@ -25,82 +19,8 @@ use packet_wire::{EthernetFrame, MacAddr};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-/// A controller application: policy over a [`Connection`].
-pub trait ControllerApp: Send {
-    /// Called once per completed handshake — including after each
-    /// reconnect — with the switch's advertised features.
-    fn on_connected(&mut self, conn: &Connection, features: &SwitchFeatures);
-
-    /// Called for every asynchronous or unclaimed message.
-    fn on_message(&mut self, conn: &Connection, msg: OfpMessage, xid: u32);
-}
-
-/// Drives one [`ControllerApp`] over one [`Connection`].
-pub struct ControllerRuntime<A: ControllerApp> {
-    conn: Connection,
-    app: A,
-    announced: bool,
-}
-
-impl<A: ControllerApp> ControllerRuntime<A> {
-    /// Binds `app` to a connection (whose handshake is already in flight).
-    pub fn new(conn: Connection, app: A) -> ControllerRuntime<A> {
-        ControllerRuntime {
-            conn,
-            app,
-            announced: false,
-        }
-    }
-
-    /// The underlying connection, for direct requests alongside the app.
-    pub fn connection(&self) -> &Connection {
-        &self.conn
-    }
-
-    /// The application, for inspecting its state in tests.
-    pub fn app(&self) -> &A {
-        &self.app
-    }
-
-    /// One scheduling round: advance the handshake, announce the switch to
-    /// the app when it completes, deliver queued messages. Returns how
-    /// many messages the app saw.
-    pub fn poll(&mut self) -> usize {
-        if !self.announced && self.conn.state() == ConnectionState::Ready {
-            let features = self.conn.features().expect("Ready implies features");
-            self.app.on_connected(&self.conn, &features);
-            self.announced = true;
-        }
-        let mut delivered = 0;
-        while let Some(res) = self.conn.try_recv() {
-            let Ok((msg, xid)) = res else { break };
-            self.app.on_message(&self.conn, msg, xid);
-            delivered += 1;
-            if self.announced && self.conn.state() != ConnectionState::Ready {
-                break;
-            }
-        }
-        delivered
-    }
-
-    /// Polls until the handshake completes and the app has been announced.
-    pub fn run_until_ready(&mut self, timeout: Duration) -> Result<()> {
-        self.conn.handshake(timeout)?;
-        self.poll();
-        Ok(())
-    }
-
-    /// Moves the session to a fresh transport (controller restart): the
-    /// connection re-handshakes and replays un-barriered flow mods, and the
-    /// app is announced again on the next [`ControllerRuntime::poll`].
-    pub fn reconnect(&mut self, transport: Box<dyn crate::transport::Transport>) {
-        self.conn.reconnect(transport);
-        self.announced = false;
-    }
-}
-
-/// A controller application over a whole fabric of switches: the same
-/// role as [`ControllerApp`], with the switch's datapath id threaded
+/// A controller application over a fabric of switches: policy over one
+/// [`Connection`] per switch, with the switch's datapath id threaded
 /// through every callback so policy can differ per switch.
 pub trait FabricApp: Send {
     /// Called once per switch per completed handshake (including after a
@@ -123,7 +43,8 @@ struct FabricSession {
     down_reported: bool,
 }
 
-/// Drives one [`FabricApp`] over N live [`Connection`]s.
+/// Drives one [`FabricApp`] over N live [`Connection`]s (a single switch
+/// is a fabric of one [`FabricRuntime::add_switch`]).
 ///
 /// * **datapath-id registry** — switches announce themselves through the
 ///   handshake's `FeaturesReply`; [`FabricRuntime::connection`] resolves
@@ -326,14 +247,16 @@ impl<A: FabricApp> FabricRuntime<A> {
     }
 }
 
-/// `rust_ofp`'s learning switch, ported to the [`ControllerApp`] API.
+/// `rust_ofp`'s learning switch, ported to the [`FabricApp`] API.
 ///
-/// Learns the source MAC of every packet-in against its ingress port.
-/// Once both endpoints of a conversation are known it installs the flow in
-/// both directions (so the reply path is covered before the reply leaves)
-/// and re-injects the packet; until then it floods.
+/// Learns the source MAC of every packet-in against its ingress port, in
+/// a table per switch — a host learned behind one switch says nothing
+/// about the ports of another. Once both endpoints of a conversation are
+/// known it installs the flow in both directions (so the reply path is
+/// covered before the reply leaves) and re-injects the packet; until then
+/// it floods.
 pub struct LearningSwitch {
-    known: HashMap<MacAddr, PortNo>,
+    known: HashMap<u64, HashMap<MacAddr, PortNo>>,
     priority: u16,
     installed: u64,
 }
@@ -353,29 +276,27 @@ impl LearningSwitch {
         }
     }
 
-    /// The learned MAC → port table.
-    pub fn known_hosts(&self) -> &HashMap<MacAddr, PortNo> {
-        &self.known
+    /// The MAC → port table learned on switch `dpid`.
+    pub fn known_hosts(&self, dpid: u64) -> Option<&HashMap<MacAddr, PortNo>> {
+        self.known.get(&dpid)
     }
 
-    /// How many flow-mod pairs this app has installed.
+    /// How many flow mods this app has installed, across every switch.
     pub fn flows_installed(&self) -> u64 {
         self.installed
     }
 
-    fn learning_packet_in(&mut self, conn: &Connection, pi: &PacketIn) {
+    fn learning_packet_in(&mut self, dpid: u64, conn: &Connection, pi: &PacketIn) {
         let Ok(frame) = EthernetFrame::new_checked(&pi.data[..]) else {
             return; // not Ethernet; nothing to learn
         };
         let src = frame.src_addr();
         let dst = frame.dst_addr();
+        let known = self.known.entry(dpid).or_default();
         if !src.is_multicast() {
-            self.known.insert(src, pi.in_port);
+            known.insert(src, pi.in_port);
         }
-        match (!dst.is_multicast())
-            .then(|| self.known.get(&dst))
-            .flatten()
-        {
+        match (!dst.is_multicast()).then(|| known.get(&dst)).flatten() {
             Some(&out_port) => {
                 // Both directions in one batched write, then re-inject the
                 // triggering packet so it is not lost while rules settle.
@@ -401,16 +322,16 @@ impl LearningSwitch {
     }
 }
 
-impl ControllerApp for LearningSwitch {
-    fn on_connected(&mut self, _conn: &Connection, _features: &SwitchFeatures) {
-        // A restarted learning switch relearns from scratch; stale entries
-        // from the previous session would steer into moved hosts.
-        self.known.clear();
+impl FabricApp for LearningSwitch {
+    fn on_switch_ready(&mut self, dpid: u64, _conn: &Connection, _features: &SwitchFeatures) {
+        // A reconnected switch relearns from scratch; stale entries from
+        // its previous session would steer into moved hosts.
+        self.known.remove(&dpid);
     }
 
-    fn on_message(&mut self, conn: &Connection, msg: OfpMessage, _xid: u32) {
+    fn on_switch_message(&mut self, dpid: u64, conn: &Connection, msg: OfpMessage, _xid: u32) {
         if let OfpMessage::PacketIn(pi) = msg {
-            self.learning_packet_in(conn, &pi);
+            self.learning_packet_in(dpid, conn, &pi);
         }
     }
 }
@@ -419,93 +340,11 @@ impl ControllerApp for LearningSwitch {
 mod tests {
     use super::*;
     use crate::controller::{framed_link, SwitchLink};
+    use crate::messages::PacketInReason;
     use packet_wire::PacketBuilder;
 
-    fn answer_control(sw: &SwitchLink) -> Vec<(OfpMessage, u32)> {
-        let mut unhandled = Vec::new();
-        while let Some(Ok((msg, xid))) = sw.try_recv() {
-            match msg {
-                OfpMessage::Hello => sw.send(&OfpMessage::Hello, xid).unwrap(),
-                OfpMessage::FeaturesRequest => sw
-                    .send(
-                        &OfpMessage::FeaturesReply {
-                            datapath_id: 7,
-                            ports: vec![1, 2],
-                        },
-                        xid,
-                    )
-                    .unwrap(),
-                other => unhandled.push((other, xid)),
-            }
-        }
-        unhandled
-    }
-
-    fn packet(src: MacAddr, dst: MacAddr) -> Vec<u8> {
-        PacketBuilder::udp_probe(64).eth(src, dst).build()
-    }
-
-    #[test]
-    fn learning_switch_floods_then_installs_both_directions() {
-        let (conn, sw) = framed_link();
-        answer_control(&sw);
-        let mut rt = ControllerRuntime::new(conn, LearningSwitch::new());
-        rt.run_until_ready(Duration::from_secs(1)).unwrap();
-
-        let a = MacAddr::local(1);
-        let b = MacAddr::local(2);
-
-        // a → b: b unknown, expect a flood and a learned entry for a.
-        sw.send(
-            &OfpMessage::PacketIn(PacketIn {
-                in_port: PortNo(1),
-                reason: crate::messages::PacketInReason::NoMatch,
-                data: packet(a, b),
-            }),
-            0,
-        )
-        .unwrap();
-        rt.poll();
-        let out = answer_control(&sw);
-        assert_eq!(out.len(), 1);
-        match &out[0].0 {
-            OfpMessage::PacketOut(po) => {
-                assert_eq!(po.actions, vec![Action::Output(PortNo::FLOOD)])
-            }
-            other => panic!("expected flood packet-out, got {other:?}"),
-        }
-        assert_eq!(rt.app().known_hosts().get(&a), Some(&PortNo(1)));
-
-        // b → a: both known now — two flow mods + a directed packet-out.
-        sw.send(
-            &OfpMessage::PacketIn(PacketIn {
-                in_port: PortNo(2),
-                reason: crate::messages::PacketInReason::NoMatch,
-                data: packet(b, a),
-            }),
-            0,
-        )
-        .unwrap();
-        rt.poll();
-        let out = answer_control(&sw);
-        let flow_mods: Vec<&FlowMod> = out
-            .iter()
-            .filter_map(|(m, _)| match m {
-                OfpMessage::FlowMod(fm) => Some(fm),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(flow_mods.len(), 2);
-        assert_eq!(flow_mods[0].actions, vec![Action::Output(PortNo(1))]);
-        assert_eq!(flow_mods[1].actions, vec![Action::Output(PortNo(2))]);
-        assert!(out.iter().any(|(m, _)| matches!(
-            m,
-            OfpMessage::PacketOut(po) if po.actions == vec![Action::Output(PortNo(1))]
-        )));
-        assert_eq!(rt.app().flows_installed(), 2);
-    }
-
-    /// Answers handshake traffic with a chosen dpid and counts flow mods.
+    /// Answers handshake, echo and barrier traffic with a chosen dpid and
+    /// returns everything else the controller sent.
     fn answer_switch(sw: &SwitchLink, dpid: u64) -> Vec<(OfpMessage, u32)> {
         let mut unhandled = Vec::new();
         while let Some(Ok((msg, xid))) = sw.try_recv() {
@@ -515,7 +354,7 @@ mod tests {
                     .send(
                         &OfpMessage::FeaturesReply {
                             datapath_id: dpid,
-                            ports: vec![1],
+                            ports: vec![1, 2],
                         },
                         xid,
                     )
@@ -526,6 +365,101 @@ mod tests {
             }
         }
         unhandled
+    }
+
+    /// Sends the switch-side packet-in of an `src → dst` frame on `in_port`.
+    fn packet_in(sw: &SwitchLink, in_port: u16, src: MacAddr, dst: MacAddr) {
+        let data = PacketBuilder::udp_probe(64).eth(src, dst).build();
+        let pi = PacketIn {
+            in_port: PortNo(in_port),
+            reason: PacketInReason::NoMatch,
+            data,
+        };
+        sw.send(&OfpMessage::PacketIn(pi), 0).unwrap();
+    }
+
+    fn flow_mods(out: &[(OfpMessage, u32)]) -> Vec<&FlowMod> {
+        out.iter()
+            .filter_map(|(m, _)| match m {
+                OfpMessage::FlowMod(fm) => Some(fm),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn is_flood(out: &[(OfpMessage, u32)]) -> bool {
+        matches!(
+            out,
+            [(OfpMessage::PacketOut(po), _)] if po.actions == vec![Action::Output(PortNo::FLOOD)]
+        )
+    }
+
+    #[test]
+    fn learning_switch_floods_then_installs_both_directions() {
+        let (conn, sw) = framed_link();
+        answer_switch(&sw, 7);
+        let mut rt = FabricRuntime::new(LearningSwitch::new());
+        rt.add_switch(conn);
+        rt.run_until_ready(Duration::from_secs(1)).unwrap();
+
+        let a = MacAddr::local(1);
+        let b = MacAddr::local(2);
+
+        // a → b: b unknown, expect a flood and a learned entry for a.
+        packet_in(&sw, 1, a, b);
+        rt.poll();
+        assert!(is_flood(&answer_switch(&sw, 7)), "unknown dst floods");
+        assert_eq!(rt.app().known_hosts(7).unwrap().get(&a), Some(&PortNo(1)));
+
+        // b → a: both known now — two flow mods + a directed packet-out.
+        packet_in(&sw, 2, b, a);
+        rt.poll();
+        let out = answer_switch(&sw, 7);
+        let mods = flow_mods(&out);
+        assert_eq!(mods.len(), 2);
+        assert_eq!(mods[0].actions, vec![Action::Output(PortNo(1))]);
+        assert_eq!(mods[1].actions, vec![Action::Output(PortNo(2))]);
+        assert!(out.iter().any(|(m, _)| matches!(
+            m,
+            OfpMessage::PacketOut(po) if po.actions == vec![Action::Output(PortNo(1))]
+        )));
+        assert_eq!(rt.app().flows_installed(), 2);
+    }
+
+    #[test]
+    fn learning_switch_keeps_one_table_per_switch() {
+        let (c1, sw1) = framed_link();
+        let (c2, sw2) = framed_link();
+        let mut rt = FabricRuntime::new(LearningSwitch::new());
+        rt.add_switch(c1);
+        rt.add_switch(c2);
+        answer_switch(&sw1, 0xa1);
+        answer_switch(&sw2, 0xb2);
+        rt.run_until_ready(Duration::from_secs(2)).unwrap();
+
+        let a = MacAddr::local(1);
+        let b = MacAddr::local(2);
+
+        // Host a is learned behind switch a1 ...
+        packet_in(&sw1, 1, a, b);
+        rt.poll();
+        assert!(is_flood(&answer_switch(&sw1, 0xa1)));
+
+        // ... so on switch b2 a is still unknown: b → a floods there and
+        // installs nothing, even though a1 knows where a lives.
+        packet_in(&sw2, 2, b, a);
+        rt.poll();
+        let out = answer_switch(&sw2, 0xb2);
+        assert!(flow_mods(&out).is_empty(), "a1's host steered b2: {out:?}");
+        assert!(is_flood(&out));
+        assert!(answer_switch(&sw1, 0xa1).is_empty(), "a1 untouched");
+        assert_eq!(rt.app().flows_installed(), 0);
+        assert_eq!(rt.app().known_hosts(0xa1).unwrap().len(), 1);
+        assert_eq!(
+            rt.app().known_hosts(0xb2).unwrap().get(&b),
+            Some(&PortNo(2))
+        );
+        assert!(!rt.app().known_hosts(0xb2).unwrap().contains_key(&a));
     }
 
     #[derive(Default)]
@@ -545,6 +479,14 @@ mod tests {
         }
         fn on_switch_down(&mut self, dpid: u64) {
             self.downs.push(dpid);
+        }
+    }
+
+    /// Polls `rt` until `done` holds or a second passes.
+    fn poll_until<A: FabricApp>(rt: &mut FabricRuntime<A>, done: impl Fn(&A) -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(1);
+        while !done(rt.app()) && Instant::now() < deadline {
+            rt.poll();
         }
     }
 
@@ -576,10 +518,7 @@ mod tests {
             .unwrap();
         assert_eq!(answer_switch(&sw1, 0xa1).len(), 0);
         drop(sw2); // also: the down event fires exactly once
-        let deadline = std::time::Instant::now() + Duration::from_secs(1);
-        while rt.app().downs.is_empty() && std::time::Instant::now() < deadline {
-            rt.poll();
-        }
+        poll_until(&mut rt, |app| !app.downs.is_empty());
         assert_eq!(rt.app().downs, vec![0xb2]);
         rt.poll();
         assert_eq!(rt.app().downs, vec![0xb2], "down reported once");
@@ -620,31 +559,29 @@ mod tests {
 
     #[test]
     fn runtime_reannounces_after_reconnect() {
-        struct Counting {
-            connects: usize,
-        }
-        impl ControllerApp for Counting {
-            fn on_connected(&mut self, _c: &Connection, _f: &SwitchFeatures) {
-                self.connects += 1;
-            }
-            fn on_message(&mut self, _c: &Connection, _m: OfpMessage, _x: u32) {}
-        }
-
         let (conn, sw) = framed_link();
-        answer_control(&sw);
-        let mut rt = ControllerRuntime::new(conn, Counting { connects: 0 });
+        answer_switch(&sw, 7);
+        let mut rt = FabricRuntime::new(FabricProbe::default());
+        rt.add_switch(conn);
         rt.run_until_ready(Duration::from_secs(1)).unwrap();
-        assert_eq!(rt.app().connects, 1);
+        assert_eq!(rt.app().ready, vec![7]);
 
         drop(sw);
-        let _ = rt.connection().try_recv(); // notice the disconnect
+        poll_until(&mut rt, |app| !app.downs.is_empty());
+        assert_eq!(rt.app().downs, vec![7]);
 
+        let (stray, _) = crate::transport::loopback();
+        assert!(!rt.reconnect(8, Box::new(stray)), "unknown dpid");
         let (c2, s2) = crate::transport::loopback();
-        rt.reconnect(Box::new(c2));
+        assert!(rt.reconnect(7, Box::new(c2)));
+        assert!(
+            rt.connection(7).is_none(),
+            "unregistered until re-announced"
+        );
         let sw2 = SwitchLink::new(Box::new(s2));
-        answer_control(&sw2);
-        rt.connection().handshake(Duration::from_secs(1)).unwrap();
-        rt.poll();
-        assert_eq!(rt.app().connects, 2);
+        answer_switch(&sw2, 7);
+        rt.run_until_ready(Duration::from_secs(1)).unwrap();
+        assert_eq!(rt.app().ready, vec![7, 7]);
+        assert_eq!(rt.dpids(), vec![7]);
     }
 }

@@ -23,6 +23,13 @@ pub const HEADER_LEN: usize = OfpHeader::SIZE;
 /// Size of the OF 1.0 `ofp_match`.
 pub const MATCH_LEN: usize = 40;
 
+/// The largest OF 1.0 message: the header's length field is 16 bits.
+const MAX_MESSAGE_LEN: usize = u16::MAX as usize;
+/// `OFPT_STATS_REPLY` message type.
+const OFPT_STATS_REPLY: u8 = 17;
+/// `OFPSF_REPLY_MORE`: more parts of this stats reply follow.
+const OFPSF_REPLY_MORE: u16 = 1;
+
 // ofp_flow_wildcards bits.
 const OFPFW_IN_PORT: u32 = 1 << 0;
 const OFPFW_DL_VLAN: u32 = 1 << 1;
@@ -331,8 +338,111 @@ pub fn encode(msg: &OfpMessage, xid: u32) -> Vec<u8> {
     msg.marshal(xid)
 }
 
-/// Marshals only the message body (the bytes after the common header).
-fn encode_body(msg: &OfpMessage) -> Vec<u8> {
+/// Encodes `msg` as the frames that carry it. A message that fits one
+/// OF 1.0 frame comes back as exactly [`encode`]'s bytes. A flow, port or
+/// table stats reply too large for the 16-bit length field is split into
+/// parts of at most 64 KiB under the same `xid`, every part but the last
+/// flagged `OFPSF_REPLY_MORE`; the receiver joins them with
+/// [`join_reply`].
+///
+/// # Panics
+///
+/// If any other message exceeds 64 KiB.
+pub(crate) fn encode_parts(msg: &OfpMessage, xid: u32) -> Vec<Vec<u8>> {
+    if msg.size_of() <= MAX_MESSAGE_LEN {
+        return vec![encode(msg, xid)];
+    }
+    let parts = match msg {
+        OfpMessage::FlowStatsReply(e) => split_reply(
+            e,
+            |e| 88 + actions_wire_len(&e.actions),
+            OfpMessage::FlowStatsReply,
+        ),
+        OfpMessage::PortStatsReply(e) => split_reply(e, |_| 104, OfpMessage::PortStatsReply),
+        OfpMessage::TableStatsReply(e) => split_reply(e, |_| 64, OfpMessage::TableStatsReply),
+        _ => return vec![encode(msg, xid)], // panics: no room in one message
+    };
+    let last = parts.len() - 1;
+    parts
+        .iter()
+        .enumerate()
+        .map(|(i, part)| {
+            let flags = if i < last { OFPSF_REPLY_MORE } else { 0 };
+            marshal_flagged(part, xid, flags)
+        })
+        .collect()
+}
+
+/// Cuts a stats reply's `entries` into runs that each fit one message.
+fn split_reply<T: Clone>(
+    entries: &[T],
+    wire_len: impl Fn(&T) -> usize,
+    wrap: fn(Vec<T>) -> OfpMessage,
+) -> Vec<OfpMessage> {
+    const EMPTY_REPLY: usize = HEADER_LEN + 4;
+    let mut parts = Vec::new();
+    let mut run = Vec::new();
+    let mut len = EMPTY_REPLY;
+    for e in entries {
+        let n = wire_len(e);
+        if len + n > MAX_MESSAGE_LEN && !run.is_empty() {
+            parts.push(wrap(std::mem::take(&mut run)));
+            len = EMPTY_REPLY;
+        }
+        len += n;
+        run.push(e.clone());
+    }
+    parts.push(wrap(run));
+    parts
+}
+
+/// True when `frame` is a stats-reply part flagged `OFPSF_REPLY_MORE`:
+/// more parts under the same xid follow.
+pub(crate) fn reply_more(frame: &[u8]) -> bool {
+    frame.len() >= HEADER_LEN + 4
+        && frame[1] == OFPT_STATS_REPLY
+        && u16::from_be_bytes([frame[10], frame[11]]) & OFPSF_REPLY_MORE != 0
+}
+
+/// Appends the entries of stats-reply `part` to `acc`, the parts before
+/// it under the same xid (see [`encode_parts`]).
+pub(crate) fn join_reply(acc: &mut OfpMessage, part: OfpMessage) -> Result<()> {
+    match (acc, part) {
+        (OfpMessage::FlowStatsReply(a), OfpMessage::FlowStatsReply(b)) => a.extend(b),
+        (OfpMessage::PortStatsReply(a), OfpMessage::PortStatsReply(b)) => a.extend(b),
+        (OfpMessage::TableStatsReply(a), OfpMessage::TableStatsReply(b)) => a.extend(b),
+        _ => return Err(OfError::Unknown("stats reply parts of mixed types".into())),
+    }
+    Ok(())
+}
+
+/// Marshals `msg` (header + body) with `flags` in a stats reply's flags
+/// field. Panics if the message exceeds 64 KiB (see [`length_field`]).
+fn marshal_flagged(msg: &OfpMessage, xid: u32, flags: u16) -> Vec<u8> {
+    let body = encode_body(msg, flags);
+    let len = HEADER_LEN + body.len();
+    let mut out = Vec::with_capacity(len);
+    OfpHeader::new(OFP_VERSION, msg.type_id(), length_field(len), xid).marshal(&mut out);
+    out.extend_from_slice(&body);
+    out
+}
+
+/// The header length field for a `len`-byte message.
+///
+/// # Panics
+///
+/// If `len` exceeds 64 KiB, rather than wrapping into a length that
+/// disagrees with the bytes on the wire.
+fn length_field(len: usize) -> u16 {
+    let Ok(length) = u16::try_from(len) else {
+        panic!("{len}-byte OpenFlow message exceeds the 16-bit length field");
+    };
+    length
+}
+
+/// Marshals only the message body (the bytes after the common header);
+/// stats replies carry `flags`.
+fn encode_body(msg: &OfpMessage, flags: u16) -> Vec<u8> {
     let mut body = Vec::with_capacity(64);
     match msg {
         OfpMessage::Hello
@@ -425,7 +535,7 @@ fn encode_body(msg: &OfpMessage) -> Vec<u8> {
         }
         OfpMessage::FlowStatsReply(entries) => {
             body.put_u16(1);
-            body.put_u16(0);
+            body.put_u16(flags);
             for e in entries {
                 let entry_len = 88 + actions_wire_len(&e.actions);
                 body.put_u16(entry_len as u16);
@@ -452,7 +562,7 @@ fn encode_body(msg: &OfpMessage) -> Vec<u8> {
         }
         OfpMessage::PortStatsReply(entries) => {
             body.put_u16(4);
-            body.put_u16(0);
+            body.put_u16(flags);
             for e in entries {
                 body.put_u16(e.port_no);
                 body.put_slice(&[0; 6]);
@@ -495,7 +605,7 @@ fn encode_body(msg: &OfpMessage) -> Vec<u8> {
         }
         OfpMessage::AggregateStatsReply(agg) => {
             body.put_u16(2);
-            body.put_u16(0);
+            body.put_u16(flags);
             body.put_u64(agg.packet_count);
             body.put_u64(agg.byte_count);
             body.put_u32(agg.flow_count);
@@ -507,7 +617,7 @@ fn encode_body(msg: &OfpMessage) -> Vec<u8> {
         }
         OfpMessage::TableStatsReply(entries) => {
             body.put_u16(3);
-            body.put_u16(0);
+            body.put_u16(flags);
             for e in entries {
                 body.put_u8(e.table_id);
                 body.put_slice(&[0; 3]);
@@ -525,7 +635,7 @@ fn encode_body(msg: &OfpMessage) -> Vec<u8> {
         }
         OfpMessage::DescStatsReply(d) => {
             body.put_u16(0);
-            body.put_u16(0);
+            body.put_u16(flags);
             put_fixed_str(&mut body, &d.manufacturer, 256);
             put_fixed_str(&mut body, &d.hardware, 256);
             put_fixed_str(&mut body, &d.software, 256);
@@ -574,21 +684,16 @@ impl OfpMarshal for OfpMessage {
     }
 
     fn header_of(&self, xid: u32) -> OfpHeader {
-        OfpHeader::new(OFP_VERSION, self.type_id(), self.size_of() as u16, xid)
-    }
-
-    fn marshal(&self, xid: u32) -> Vec<u8> {
-        let body = encode_body(self);
-        let mut out = Vec::with_capacity(HEADER_LEN + body.len());
         OfpHeader::new(
             OFP_VERSION,
             self.type_id(),
-            (HEADER_LEN + body.len()) as u16,
+            length_field(self.size_of()),
             xid,
         )
-        .marshal(&mut out);
-        out.extend_from_slice(&body);
-        out
+    }
+
+    fn marshal(&self, xid: u32) -> Vec<u8> {
+        marshal_flagged(self, xid, 0)
     }
 
     fn parse(header: &OfpHeader, body: &[u8]) -> Result<(OfpMessage, u32)> {
@@ -1035,6 +1140,55 @@ mod tests {
             actions: vec![Action::Output(PortNo(5))],
             data: vec![0x55; 60],
         }));
+    }
+
+    fn flow_entry(cookie: u64) -> FlowStatsEntry {
+        FlowStatsEntry {
+            fmatch: FlowMatch::in_port(PortNo(1)),
+            priority: cookie as u16,
+            cookie,
+            duration_sec: 0,
+            idle_timeout: 0,
+            hard_timeout: 0,
+            packet_count: 0,
+            byte_count: 0,
+            actions: vec![Action::Output(PortNo(2))],
+        }
+    }
+
+    #[test]
+    fn small_stats_reply_stays_one_identical_frame() {
+        let msg = OfpMessage::FlowStatsReply((0..600).map(flow_entry).collect());
+        assert_eq!(encode_parts(&msg, 9), vec![encode(&msg, 9)]);
+        assert!(!reply_more(&encode(&msg, 9)));
+    }
+
+    #[test]
+    fn oversized_stats_reply_splits_into_flagged_parts() {
+        let entries: Vec<FlowStatsEntry> = (0..1000).map(flow_entry).collect();
+        let parts = encode_parts(&OfpMessage::FlowStatsReply(entries.clone()), 9);
+        assert_eq!(parts.len(), 2, "96 kB of entries → two parts");
+        let mut joined: Option<OfpMessage> = None;
+        for (i, frame) in parts.iter().enumerate() {
+            let length = u16::from_be_bytes([frame[2], frame[3]]) as usize;
+            assert_eq!(length, frame.len(), "header length matches the bytes");
+            assert_eq!(reply_more(frame), i + 1 < parts.len());
+            let (part, xid) = decode(frame).unwrap();
+            assert_eq!(xid, 9);
+            match &mut joined {
+                Some(acc) => join_reply(acc, part).unwrap(),
+                None => joined = Some(part),
+            }
+        }
+        assert_eq!(joined, Some(OfpMessage::FlowStatsReply(entries)));
+        let mut port = OfpMessage::PortStatsReply(Vec::new());
+        assert!(join_reply(&mut port, OfpMessage::FlowStatsReply(Vec::new())).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 16-bit length field")]
+    fn oversized_unsplittable_message_is_refused() {
+        encode(&OfpMessage::EchoReply(vec![0; 70_000]), 1);
     }
 
     #[test]

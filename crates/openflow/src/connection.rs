@@ -23,14 +23,14 @@
 //!   handshake on a fresh transport and replays them, so a controller
 //!   restart mid-update loses nothing.
 
-use crate::codec::encode;
+use crate::codec::{decode, encode, join_reply, reply_more};
 use crate::framer::Framer;
 use crate::messages::*;
 use crate::transport::Transport;
 use crate::types::PortNo;
 use crate::{Action, FlowMatch, OfError, Result};
 use parking_lot::Mutex;
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -91,6 +91,8 @@ struct Io {
     internal_echo: HashSet<u32>,
     echo_sent: Option<Instant>,
     last_io: Instant,
+    /// Multi-part stats replies still receiving parts, by xid.
+    partial: HashMap<u32, OfpMessage>,
 }
 
 /// Flow mods awaiting barrier acknowledgement, for replay on reconnect.
@@ -143,6 +145,7 @@ impl Connection {
                 internal_echo: HashSet::new(),
                 echo_sent: None,
                 last_io: Instant::now(),
+                partial: HashMap::new(),
             }),
             replay: Mutex::new(Replay::default()),
             inbox: Mutex::new(VecDeque::new()),
@@ -248,6 +251,7 @@ impl Connection {
         io.internal_echo.clear();
         io.echo_sent = None;
         io.last_io = Instant::now();
+        io.partial.clear();
 
         let hello_xid = self.xid();
         let features_xid = self.xid();
@@ -346,10 +350,16 @@ impl Connection {
                     io.framer.push(&chunk[..n]);
                     loop {
                         match io.framer.poll_frame() {
-                            Ok(Some(frame)) => match crate::codec::decode(&frame) {
-                                Ok((msg, xid)) => self.dispatch(&mut io, msg, xid),
-                                Err(e) => return fail(&mut io, e),
-                            },
+                            Ok(Some(frame)) => {
+                                let joined = decode(&frame).and_then(|(msg, xid)| {
+                                    join_part(&mut io, msg, xid, reply_more(&frame))
+                                });
+                                match joined {
+                                    Ok(Some((msg, xid))) => self.dispatch(&mut io, msg, xid),
+                                    Ok(None) => {}
+                                    Err(e) => return fail(&mut io, e),
+                                }
+                            }
                             Ok(None) => break,
                             // Framing errors are unrecoverable: the stream
                             // position is gone.
@@ -620,6 +630,30 @@ impl Drop for WaiterGuard<'_> {
     fn drop(&mut self) {
         self.0.fetch_sub(1, Ordering::AcqRel);
     }
+}
+
+/// Joins the parts of a multi-part stats reply: holds each part flagged
+/// more, and hands back the whole reply once its last part arrives, so
+/// waiters only ever see complete replies. Single-part messages pass
+/// straight through.
+fn join_part(
+    io: &mut Io,
+    msg: OfpMessage,
+    xid: u32,
+    more: bool,
+) -> Result<Option<(OfpMessage, u32)>> {
+    let msg = match io.partial.remove(&xid) {
+        Some(mut acc) => {
+            join_reply(&mut acc, msg)?;
+            acc
+        }
+        None => msg,
+    };
+    if more {
+        io.partial.insert(xid, msg);
+        return Ok(None);
+    }
+    Ok(Some((msg, xid)))
 }
 
 /// Marks the connection dead with `e` and propagates it.

@@ -8,7 +8,7 @@
 //! aliases `ControllerHandle`/`control_link` are gone; the framed path is
 //! the only control channel.)
 
-use crate::codec::{decode, encode};
+use crate::codec::{decode, encode_parts};
 use crate::connection::Connection;
 use crate::framer::Framer;
 use crate::messages::OfpMessage;
@@ -85,16 +85,19 @@ impl SwitchLink {
         }
     }
 
-    /// Sends a message to the controller.
+    /// Sends a message to the controller. A stats reply too large for one
+    /// OF 1.0 message goes out as parts flagged `OFPSF_REPLY_MORE`, which
+    /// [`Connection`] joins.
     pub fn send(&self, msg: &OfpMessage, xid: u32) -> Result<()> {
         let io = self.inner.lock();
-        let bytes = encode(msg, xid);
-        let mut sent = 0;
-        while sent < bytes.len() {
-            match io.transport.send(&bytes[sent..]) {
-                Ok(0) => std::thread::yield_now(), // saturated; retry
-                Ok(n) => sent += n,
-                Err(e) => return Err(e),
+        for bytes in encode_parts(msg, xid) {
+            let mut sent = 0;
+            while sent < bytes.len() {
+                match io.transport.send(&bytes[sent..]) {
+                    Ok(0) => std::thread::yield_now(), // saturated; retry
+                    Ok(n) => sent += n,
+                    Err(e) => return Err(e),
+                }
             }
         }
         Ok(())
@@ -115,6 +118,7 @@ pub fn framed_link() -> (Connection, SwitchLink) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::encode;
     use crate::messages::*;
     use crate::types::PortNo;
     use crate::{Action, FlowMatch};

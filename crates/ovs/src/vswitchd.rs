@@ -384,6 +384,35 @@ mod tests {
     }
 
     #[test]
+    fn flow_stats_return_every_rule_of_a_table_over_64k() {
+        // 1000 rules are ~96 kB of flow-stats entries: more than one OF 1.0
+        // message can carry, so the reply arrives in parts.
+        let sw = VSwitchd::new(VSwitchdConfig::default());
+        let (ctrl, link) = framed_link();
+        sw.attach_controller(link);
+        sw.start();
+        let mods: Vec<FlowMod> = (0..1000u16)
+            .map(|i| {
+                FlowMod::add(
+                    FlowMatch::in_port(PortNo(1)),
+                    i + 1,
+                    vec![Action::Output(PortNo(2))],
+                )
+                .with_cookie(u64::from(i))
+            })
+            .collect();
+        ctrl.send_flow_mods(&mods).unwrap();
+        ctrl.barrier(Duration::from_secs(5)).unwrap();
+
+        let stats = ctrl.flow_stats(Duration::from_secs(5)).unwrap();
+        assert_eq!(stats.len(), 1000);
+        let mut cookies: Vec<u64> = stats.iter().map(|e| e.cookie).collect();
+        cookies.sort_unstable();
+        assert_eq!(cookies, (0..1000).collect::<Vec<u64>>());
+        sw.stop();
+    }
+
+    #[test]
     fn multi_pmd_deployment_forwards_across_thread_shares() {
         // 4 ports, 2 PMD threads: ports 1,3 belong to PMD 0 and 2,4 to
         // PMD 1 (round-robin by position), so both rules below cross PMD

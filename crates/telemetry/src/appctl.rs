@@ -42,7 +42,7 @@ pub fn pmd_stats_show(snap: &TelemetrySnapshot) -> String {
         out.push_str("no pmd threads registered\n");
     }
     for p in &snap.pools {
-        out.push_str(&format!("{} \"{}\":\n", p.kind.label(), p.name));
+        out.push_str(&format!("arena \"{}\":\n", p.name));
         out.push_str(&format!(
             "  capacity: {}  available: {}  in use: {}  high water: {}\n",
             p.capacity, p.available, p.in_use, p.high_water
@@ -51,12 +51,10 @@ pub fn pmd_stats_show(snap: &TelemetrySnapshot) -> String {
             "  allocs: {}  alloc failures: {}  frees: {}  foreign frees: {}\n",
             p.allocs, p.alloc_failures, p.frees, p.foreign_frees
         ));
-        if p.kind == crate::pools::PoolKind::Arena {
-            out.push_str(&format!(
-                "  credit returns: {}  credits reclaimed: {}  cow copies: {}  slab writes: {}\n",
-                p.credit_returns, p.credits_reclaimed, p.cow_copies, p.slab_writes
-            ));
-        }
+        out.push_str(&format!(
+            "  credit returns: {}  credits reclaimed: {}  cow copies: {}  slab writes: {}\n",
+            p.credit_returns, p.credits_reclaimed, p.cow_copies, p.slab_writes
+        ));
     }
     let d = &snap.doorbells;
     if d.rings + d.suppressed > 0 {
@@ -293,7 +291,7 @@ pub fn prometheus_text(snap: &TelemetrySnapshot) -> String {
         out.push_str("# TYPE highway_pool_foreign_frees_total counter\n");
         out.push_str("# TYPE highway_pool_slab_writes_total counter\n");
         for p in &snap.pools {
-            let labels = format!("pool=\"{}\",kind=\"{}\"", p.name, p.kind.label());
+            let labels = format!("pool=\"{}\",kind=\"arena\"", p.name);
             out.push_str(&format!("highway_pool_in_use{{{labels}}} {}\n", p.in_use));
             out.push_str(&format!(
                 "highway_pool_high_water{{{labels}}} {}\n",
@@ -381,7 +379,6 @@ mod tests {
             trace_groups_observed: 2,
             pools: vec![crate::pools::PoolStats {
                 name: "hw-arena".into(),
-                kind: crate::pools::PoolKind::Arena,
                 capacity: 32,
                 available: 30,
                 in_use: 2,

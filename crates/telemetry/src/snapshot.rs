@@ -79,7 +79,7 @@ pub struct TelemetrySnapshot {
     pub traces_retained: usize,
     /// Groups observed by the trace sampler (sampled or not).
     pub trace_groups_observed: u64,
-    /// One row per registered mempool/arena (see [`crate::pools`]).
+    /// One row per registered arena (see [`crate::pools`]).
     pub pools: Vec<PoolStats>,
     /// Process-wide doorbell coalescing totals.
     pub doorbells: DoorbellTotals,
@@ -170,12 +170,11 @@ impl TelemetrySnapshot {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"name\":\"{}\",\"kind\":\"{}\",\"capacity\":{},\"available\":{},\
+                "{{\"name\":\"{}\",\"kind\":\"arena\",\"capacity\":{},\"available\":{},\
                  \"in_use\":{},\"high_water\":{},\"allocs\":{},\"alloc_failures\":{},\
                  \"frees\":{},\"foreign_frees\":{},\"credit_returns\":{},\
                  \"credits_reclaimed\":{},\"cow_copies\":{},\"slab_writes\":{}}}",
                 p.name,
-                p.kind.label(),
                 p.capacity,
                 p.available,
                 p.in_use,
@@ -290,7 +289,6 @@ mod tests {
             trace_groups_observed: 10,
             pools: vec![PoolStats {
                 name: "hw-arena".into(),
-                kind: crate::pools::PoolKind::Arena,
                 capacity: 64,
                 available: 60,
                 in_use: 4,

@@ -13,7 +13,7 @@
 //! * [`openflow`] — the OpenFlow 1.0 subset + wire codec;
 //! * [`vnf`] — guest-side PMD and VNF applications;
 //! * [`vm`] — VM/QEMU host model, compute agent, orchestrator;
-//! * [`dpdk`] — rings, mbufs, mempools;
+//! * [`dpdk`] — rings, mbufs, shared arenas;
 //! * [`shmem`] — shared-memory channels, virtio-serial, stats region;
 //! * [`packet`] — wire formats;
 //! * [`nic`] — simulated 10 G NICs and traffic generation;
@@ -59,16 +59,16 @@
 //!
 //! # Writing a controller app
 //!
-//! Policy plugs in behind [`openflow::ControllerApp`] (or
-//! [`openflow::FabricApp`] for one-controller-N-switches); the runtime
-//! owns the connection, drives the handshake and redelivers
-//! `on_connected` after every reconnect, so an idempotent install there
-//! survives controller restarts for free:
+//! Policy plugs in behind [`openflow::FabricApp`]; the
+//! [`openflow::FabricRuntime`] owns one connection per switch, drives each
+//! handshake and redelivers `on_switch_ready` after every reconnect, so an
+//! idempotent install there survives controller restarts for free. One
+//! switch is a fabric of one:
 //!
 //! ```
 //! use std::time::Duration;
 //! use vnf_highway::openflow::{
-//!     Connection, ControllerApp, ControllerRuntime, OfpMessage, SwitchFeatures,
+//!     Connection, FabricApp, FabricRuntime, OfpMessage, SwitchFeatures,
 //! };
 //! use vnf_highway::prelude::*;
 //!
@@ -78,9 +78,9 @@
 //!     installs: u32,
 //! }
 //!
-//! impl ControllerApp for PortMirror {
-//!     fn on_connected(&mut self, conn: &Connection, features: &SwitchFeatures) {
-//!         assert_ne!(features.datapath_id, 0, "switch identified itself");
+//! impl FabricApp for PortMirror {
+//!     fn on_switch_ready(&mut self, dpid: u64, conn: &Connection, features: &SwitchFeatures) {
+//!         assert_eq!(dpid, features.datapath_id, "switch identified itself");
 //!         conn.add_flow(
 //!             FlowMatch::in_port(PortNo(1)),
 //!             50,
@@ -92,7 +92,7 @@
 //!         self.installs += 1;
 //!     }
 //!
-//!     fn on_message(&mut self, _conn: &Connection, _msg: OfpMessage, _xid: u32) {
+//!     fn on_switch_message(&mut self, _dpid: u64, _conn: &Connection, _msg: OfpMessage, _xid: u32) {
 //!         // packet-ins, port-status, flow-removed arrive here
 //!     }
 //! }
@@ -100,7 +100,8 @@
 //! let node = HighwayNode::new(HighwayNodeConfig::default());
 //! node.start();
 //!
-//! let mut rt = ControllerRuntime::new(node.connect_controller(), PortMirror { installs: 0 });
+//! let mut rt = FabricRuntime::new(PortMirror { installs: 0 });
+//! rt.add_switch(node.connect_controller());
 //! rt.run_until_ready(Duration::from_secs(5)).expect("handshake");
 //! assert_eq!(rt.app().installs, 1);
 //! node.stop();
@@ -120,7 +121,7 @@ pub use vnf_apps as vnf;
 
 /// Convenience prelude for examples and downstream users.
 pub mod prelude {
-    pub use dpdk_sim::{EthDev, Mbuf, Mempool};
+    pub use dpdk_sim::{Arena, EthDev, Mbuf};
     pub use highway_core::{HighwayNode, HighwayNodeConfig};
     pub use openflow::{Action, FlowMatch, OfpMessage, PortNo};
     pub use ovs_dp::{VSwitchd, VSwitchdConfig};

@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
-use vnf_highway::highway::{Fabric, FabricChainSteering};
+use vnf_highway::highway::{ChainSteering, Fabric};
 use vnf_highway::openflow::{
     loopback, ActivePeer, FabricRuntime, FlowMod, OfError, OfpMessage, StandbyController,
     TcpTransport, Transport,
@@ -70,7 +70,7 @@ fn pump_census(
     got
 }
 
-fn settle(rt: &mut FabricRuntime<FabricChainSteering>, timeout: Duration) -> bool {
+fn settle(rt: &mut FabricRuntime<ChainSteering>, timeout: Duration) -> bool {
     let deadline = Instant::now() + timeout;
     while !rt.app().settled() {
         rt.poll();
@@ -106,8 +106,7 @@ fn controller_kill_mid_storm_fails_over_exactly_once() {
     let active_peer = ActivePeer::new(Box::new(peer_end));
     let mut standby = StandbyController::new(Box::new(standby_end));
 
-    let mut rt =
-        FabricRuntime::with_peer(FabricChainSteering::new(chain.seams.clone()), active_peer);
+    let mut rt = FabricRuntime::with_peer(ChainSteering::new(chain.seams.clone()), active_peer);
     let mut kill_handles = Vec::new();
     for dpid in DPIDS {
         let stream = TcpStream::connect(addr_of[&dpid]).expect("dial switch");
@@ -208,7 +207,7 @@ fn controller_kill_mid_storm_fails_over_exactly_once() {
     // The standby promotes itself to an ordinary fabric controller over
     // the adopted connections; announcing re-installs the seam rules
     // (idempotent re-Adds).
-    let mut rt2 = FabricRuntime::new(FabricChainSteering::new(chain.seams.clone()));
+    let mut rt2 = FabricRuntime::new(ChainSteering::new(chain.seams.clone()));
     for (_dpid, conn) in adopted {
         rt2.add_switch(conn);
     }
